@@ -88,7 +88,6 @@ def _config(args) -> SchedulerConfig:
                            narrow=not args.no_narrow,
                            presolve=not args.no_presolve,
                            warm_start=not args.no_warm_start,
-                           vectorize=False if args.no_vectorize else None,
                            partition=getattr(args, "partition", False),
                            partition_size=getattr(args, "partition_size", 48),
                            partition_rounds=getattr(args, "partition_rounds",
@@ -134,11 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--no-warm-start", action="store_true",
                        help="disable heuristic warm starts for the MILP "
                             "solves (see docs/performance.md)")
-    sched.add_argument("--no-vectorize", action="store_true",
-                       help="use the pure-Python reference kernels instead "
-                            "of the numpy-vectorized hot paths; results are "
-                            "bit-identical either way (overrides "
-                            "REPRO_VECTORIZE; see docs/performance.md)")
 
     partition = argparse.ArgumentParser(add_help=False)
     partition.add_argument("--partition", action="store_true",

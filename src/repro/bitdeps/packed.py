@@ -198,7 +198,7 @@ class PackedSupportCalculator:
 
         Slots absent from ``slot_rows`` contribute nothing (constant
         operands are absorbed for free) — exactly the reference
-        ``_compose_masks`` / ``supports`` semantics.
+        :meth:`SupportCalculator.supports` semantics.
         """
         graph = self.graph
         kind = node.kind

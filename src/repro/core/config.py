@@ -73,14 +73,6 @@ class SchedulerConfig:
         Feedback re-cut budget: after the initial stitch, up to this many
         merge-the-worst-boundary rounds run, keeping the best verified
         result seen.
-    vectorize:
-        Select the numpy inner kernels for the bit-level and matrix hot
-        paths (packed DEP/support bitmasks, the cut-merge filter,
-        presolve activity/propagation, BnB branching scores). ``None``
-        (default) defers to the ``REPRO_VECTORIZE`` environment
-        variable, which defaults to on. Both implementations are
-        bit-identical — the flag trades speed only, so it is *excluded*
-        from fingerprints (see :meth:`fingerprint_fields`).
     """
 
     ii: int = 1
@@ -101,7 +93,6 @@ class SchedulerConfig:
     partition: bool = False
     partition_size: int = 48
     partition_rounds: int = 2
-    vectorize: bool | None = None
 
     def __post_init__(self) -> None:
         if self.ii < 1:
@@ -123,14 +114,10 @@ class SchedulerConfig:
         Every result-affecting field is included: all of them can change
         the produced schedule (``time_limit`` and ``backend`` change
         which incumbent is accepted; ``narrow`` changes the scheduled
-        graph). ``vectorize`` is excluded — the vectorized and reference
-        kernels are bit-identical, so a cache entry computed either way
-        is valid for both. Runtime-only knobs such as the jobs count or
-        the cache directory deliberately live *outside* this config so
-        they never perturb fingerprints.
+        graph). Runtime-only knobs such as the jobs count or the cache
+        directory deliberately live *outside* this config so they never
+        perturb fingerprints.
         """
         import dataclasses
 
-        fields = dict(sorted(dataclasses.asdict(self).items()))
-        fields.pop("vectorize", None)
-        return fields
+        return dict(sorted(dataclasses.asdict(self).items()))

@@ -21,16 +21,15 @@ matrix, and on GFMUL with a deliberately small subgraph size in
 ``--quick`` so CI exercises cut/solve/stitch/feedback without paying
 for a paper-sized design.
 
-Two kernel kinds, ``bitdeps`` and ``cutenum``, time the vectorized
-bit-level hot paths against their pure-Python reference twins (arms
-``vectorized`` / ``reference``; see docs/performance.md "Vectorized
-kernels"): ``bitdeps`` sweeps per-bit support computation over depth-1/2/3
-cones of every node, ``cutenum`` runs full cut enumeration. Both arms
+A kernel kind, ``bitdeps``, times the packed uint64 support kernel
+against the big-int :class:`~repro.bitdeps.support.SupportCalculator`
+it is tested against (arms ``vectorized`` / ``reference``; see
+docs/performance.md "One implementation per kernel"): it sweeps per-bit
+support computation over depth-1/2/3 cones of every node. Both arms
 produce identical outputs (the records carry a checksum to prove it), so
-the ratio is pure kernel speed; the summary reports ``bitdeps_speedup``
-and ``cutenum_speedup`` geomeans. The full matrix adds the full-size
-variants (:data:`KERNEL_FULLSIZE` / :data:`CUTENUM_FULLSIZE`) where the
-packed kernels matter most.
+the ratio is pure kernel speed; the summary reports a
+``bitdeps_speedup`` geomean. The full matrix adds the full-size variants
+(:data:`KERNEL_FULLSIZE`) where the packed kernel matters most.
 
 A fifth kind, ``service`` (single arm ``service``), drives an
 in-process scheduling-service instance (:mod:`repro.service`) with the
@@ -107,11 +106,6 @@ QUICK_PARTITION = ("GFMUL",)
 #: matrix (wide masks are where packing pays).
 KERNEL_FULLSIZE = ("XORR512", "CORDIC48", "GFMUL64")
 
-#: Full-size subjects for the ``cutenum`` kernel arms. GFMUL64 is left
-#: out: its reference-arm enumeration alone would dominate the whole
-#: bench wall time (its vectorized run is covered by the partition arm).
-CUTENUM_FULLSIZE = ("XORR512", "CORDIC48")
-
 #: Fuzz seeds the ``service`` arm replays through an in-process
 #: :class:`~repro.service.SchedulingService` (sub-second profiles only —
 #: the seed-routed heavy profiles like ``multi-rec`` would dominate the
@@ -131,7 +125,7 @@ _TIMING_KEYS = frozenset({
     "scipy_solve_reduction_pct", "bnb_wall_reduction_pct",
     "stage_seconds", "equiv_wall_seconds",
     "jobs_per_sec", "latency_p50", "latency_p95", "service_jobs_per_sec",
-    "bitdeps_speedup", "cutenum_speedup",
+    "bitdeps_speedup",
 })
 
 
@@ -534,37 +528,6 @@ def _best_of(workload, min_elapsed: float = 0.5, max_reps: int = 3):
     return best, result
 
 
-def _run_cutenum_task(task: _BenchTask) -> dict[str, Any]:
-    """Full cut enumeration with the chosen kernel implementation."""
-    from ..cuts.enumerate import CutEnumerator
-
-    graph = _kernel_graph(task.name)
-    record: dict[str, Any] = {
-        "kind": task.kind, "name": task.name, "method": task.method,
-        "backend": task.backend, "arm": task.arm,
-        "nodes": len(graph.node_ids),
-    }
-
-    def enumerate_once():
-        enumerator = CutEnumerator(graph, task.device.k,
-                                   max_cuts=task.config.max_cuts,
-                                   vectorize=task.arm == "vectorized")
-        cuts = enumerator.run()
-        stats = enumerator.stats
-        return (stats.total_selectable, stats.candidates_generated,
-                sum(len(cs) for cs in cuts.values()))
-
-    wall, (selectable, candidates, checksum) = _best_of(enumerate_once)
-    record.update(
-        ok=True, optimal=True,
-        cuts=selectable,
-        candidates=candidates,
-        checksum=checksum,
-        wall_seconds=wall,
-    )
-    return record
-
-
 def _run_service_task(task: _BenchTask) -> dict[str, Any]:
     """Throughput/latency of the job server on a fuzz-sourced load.
 
@@ -657,8 +620,6 @@ def _run_bench_task(task: _BenchTask) -> dict[str, Any]:
         return _run_service_task(task)
     if task.kind == "bitdeps":
         return _run_bitdeps_task(task)
-    if task.kind == "cutenum":
-        return _run_cutenum_task(task)
     return _run_design_task(task)
 
 
@@ -738,11 +699,9 @@ class BenchResult:
                 100.0 * (1.0 - 1.0 / bnb_speed), 1)
         if micro_speed is not None:
             out["micro_wall_speedup"] = round(micro_speed, 3)
-        for kind, key in (("bitdeps", "bitdeps_speedup"),
-                          ("cutenum", "cutenum_speedup")):
-            speed = self._kernel_speedup(kind)
-            if speed is not None:
-                out[key] = round(speed, 3)
+        bitdeps_speed = self._kernel_speedup("bitdeps")
+        if bitdeps_speed is not None:
+            out["bitdeps_speedup"] = round(bitdeps_speed, 3)
         equiv_recs = [r for r in self.records if r["kind"] == "equiv"]
         if equiv_recs:
             out["equiv_proved"] = sorted(r["name"] for r in equiv_recs
@@ -858,22 +817,16 @@ def run_bench(designs: list[str] | None = None, device: Device = XC7,
                            partition_size=12 if name in BENCHMARKS else 48)
         tasks.append(_BenchTask("partition", name, "milp-map", "scipy",
                                 "partition", device, part_cfg))
-    # Kernel arms: the vectorized numpy hot paths vs their pure-Python
-    # references over identical workloads (docs/performance.md). The
-    # full-size subjects only join the default full matrix — an explicit
-    # design list keeps its exact scope, and quick stays CI-sized.
+    # Kernel arms: the packed support kernel vs its big-int reference
+    # over identical workloads (docs/performance.md). The full-size
+    # subjects only join the default full matrix — an explicit design
+    # list keeps its exact scope, and quick stays CI-sized.
     kernel_names = list(names)
-    cutenum_names = list(names)
     if not designs and not quick:
         kernel_names += list(KERNEL_FULLSIZE)
-        cutenum_names += list(CUTENUM_FULLSIZE)
     for name in kernel_names:
         for arm in ("vectorized", "reference"):
             tasks.append(_BenchTask("bitdeps", name, "kernel", "packed",
-                                    arm, device, config))
-    for name in cutenum_names:
-        for arm in ("vectorized", "reference"):
-            tasks.append(_BenchTask("cutenum", name, "kernel", "cuts",
                                     arm, device, config))
     # The service arm (job server over a fuzz load; docs/service.md) is
     # part of the standard matrix, like the microbenches.
@@ -958,8 +911,7 @@ def format_bench(result: BenchResult) -> str:
     summary = result.summary()
     lines.append("")
     for key in ("scipy_solve_speedup", "bnb_wall_speedup",
-                "micro_wall_speedup", "bitdeps_speedup",
-                "cutenum_speedup"):
+                "micro_wall_speedup", "bitdeps_speedup"):
         if key in summary:
             lines.append(f"{key}: {summary[key]:.2f}x")
     if "equiv_wall_seconds" in summary:

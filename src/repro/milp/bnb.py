@@ -46,7 +46,6 @@ from typing import Mapping
 import numpy as np
 from scipy import optimize, sparse
 
-from ..vectorize import vectorize_enabled
 from .model import Model, Solution, SolveStatus
 
 __all__ = ["solve_branch_and_bound"]
@@ -97,7 +96,6 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
                            mip_rel_gap: float | None = None,
                            warm_start: Mapping[int, float] | None = None,
                            branch_hints: Mapping[int, float] | None = None,
-                           vectorize: bool | None = None,
                            ) -> Solution:
     """Solve ``model`` by branch and bound over LP relaxations.
 
@@ -105,10 +103,7 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
     index -> value); it is re-validated with :meth:`Model.check` and
     silently ignored when stale, so callers may pass best-effort hints.
     ``branch_hints`` biases the dive heuristic's rounding direction
-    (typically the schedule found at a previous II). ``vectorize``
-    selects the numpy per-node branching kernels (identical picks and
-    pseudo-costs; see docs/performance.md) and defaults to
-    ``REPRO_VECTORIZE``.
+    (typically the schedule found at a previous II).
     """
     if model.num_vars == 0:
         return Solution(status=SolveStatus.OPTIMAL,
@@ -119,12 +114,7 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
     base_lo = np.array([v.lo for v in model.variables], dtype=float)
     base_hi = np.array([v.hi for v in model.variables], dtype=float)
     hints = dict(branch_hints or {})
-    # The numpy branching kernels pay a fixed per-node overhead; below a
-    # handful of integer variables the scalar loops win. Both paths pick
-    # identical variables (tests/test_vectorize.py), so the threshold is a
-    # pure speed knob.
-    use_vec = vectorize_enabled(vectorize) and len(int_vars) >= 16
-    ivs = np.array(int_vars, dtype=np.intp) if use_vec else None
+    ivs = np.array(int_vars, dtype=np.intp)
 
     # Bound lifting is sound when c.x is integral at every integer point:
     # the objective must not touch continuous variables and all integer
@@ -154,23 +144,15 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
         )
 
     def most_fractional(x: np.ndarray) -> int | None:
-        if use_vec:
-            # First-minimizer semantics match the scalar loop: np.argmin
-            # returns the first occurrence of the minimum, exactly what a
-            # strict `<` update over int_vars order produces.
-            xi = x[ivs]
-            frac = np.abs(xi - np.round(xi))
-            cand = frac > _EPS
-            if not cand.any():
-                return None
-            dist = np.where(cand, np.abs(frac - 0.5), np.inf)
-            return int(ivs[np.argmin(dist)])
-        pick, best = None, 1.0
-        for idx in int_vars:
-            frac = abs(x[idx] - round(x[idx]))
-            if frac > _EPS and abs(frac - 0.5) < best:
-                pick, best = idx, abs(frac - 0.5)
-        return pick
+        # np.argmin returns the first minimizer: ties go to the integer
+        # variable that comes first in index order.
+        xi = x[ivs]
+        frac = np.abs(xi - np.round(xi))
+        cand = frac > _EPS
+        if not cand.any():
+            return None
+        dist = np.where(cand, np.abs(frac - 0.5), np.inf)
+        return int(ivs[np.argmin(dist)])
 
     incumbent: np.ndarray | None = None
     incumbent_obj = np.inf
@@ -235,55 +217,33 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
                               base_lo, base_hi))
 
     # Pseudo-costs: per-variable running averages of the LP objective
-    # degradation per unit of fractionality, learned as branches resolve.
-    # The vectorized path keeps the same state in four flat arrays.
-    pc_dn: dict[int, tuple[float, int]] = {}
-    pc_up: dict[int, tuple[float, int]] = {}
-    if use_vec:
-        nv = model.num_vars
-        pc_s_dn, pc_n_dn = np.zeros(nv), np.zeros(nv)
-        pc_s_up, pc_n_up = np.zeros(nv), np.zeros(nv)
+    # degradation per unit of fractionality, learned as branches resolve:
+    # summed degradation and branch count per variable and direction.
+    nv = model.num_vars
+    pc_s_dn, pc_n_dn = np.zeros(nv), np.zeros(nv)
+    pc_s_up, pc_n_up = np.zeros(nv), np.zeros(nv)
 
     def pick_branch_var(x: np.ndarray) -> int | None:
-        if use_vec:
-            xi = x[ivs]
-            frac = np.abs(xi - np.round(xi))
-            cand = frac > _EPS
-            if not cand.any():
-                return None
-            learned = (pc_n_dn[ivs] > 0) & (pc_n_up[ivs] > 0)
-            unl = cand & ~learned
-            if unl.any():
-                dist = np.where(unl, np.abs(frac - 0.5), np.inf)
-                return int(ivs[np.argmin(dist)])
-            sel = np.flatnonzero(cand)
-            idxs = ivs[sel]
-            f = xi[sel] - np.floor(xi[sel])
-            score = (np.maximum(_EPS, (pc_s_dn[idxs] / pc_n_dn[idxs]) * f)
-                     * np.maximum(_EPS, (pc_s_up[idxs] / pc_n_up[idxs])
-                                  * (1.0 - f)))
-            # np.argmax = first maximizer, matching the strict `>` update.
-            return int(idxs[np.argmax(score)])
-        unlearned, pick, best_score = None, None, -1.0
-        best_frac = 1.0
-        for idx in int_vars:
-            frac = abs(x[idx] - round(x[idx]))
-            if frac <= _EPS:
-                continue
-            f = x[idx] - math.floor(x[idx])
-            if idx not in pc_dn or idx not in pc_up:
-                # No history: most-fractional fallback (and every branch
-                # on an unlearned variable feeds the pseudo-costs).
-                if abs(frac - 0.5) < best_frac:
-                    unlearned, best_frac = idx, abs(frac - 0.5)
-                continue
-            s_dn, n_dn = pc_dn[idx]
-            s_up, n_up = pc_up[idx]
-            score = (max(_EPS, (s_dn / n_dn) * f)
-                     * max(_EPS, (s_up / n_up) * (1.0 - f)))
-            if score > best_score:
-                pick, best_score = idx, score
-        return unlearned if unlearned is not None else pick
+        xi = x[ivs]
+        frac = np.abs(xi - np.round(xi))
+        cand = frac > _EPS
+        if not cand.any():
+            return None
+        learned = (pc_n_dn[ivs] > 0) & (pc_n_up[ivs] > 0)
+        unl = cand & ~learned
+        if unl.any():
+            # No history: most-fractional fallback (and every branch on
+            # an unlearned variable feeds the pseudo-costs).
+            dist = np.where(unl, np.abs(frac - 0.5), np.inf)
+            return int(ivs[np.argmin(dist)])
+        sel = np.flatnonzero(cand)
+        idxs = ivs[sel]
+        f = xi[sel] - np.floor(xi[sel])
+        score = (np.maximum(_EPS, (pc_s_dn[idxs] / pc_n_dn[idxs]) * f)
+                 * np.maximum(_EPS, (pc_s_up[idxs] / pc_n_up[idxs])
+                              * (1.0 - f)))
+        # np.argmax returns the first maximizer (index-order tie break).
+        return int(idxs[np.argmax(score)])
 
     nodes = 0
     hit_limit = False
@@ -319,19 +279,11 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
                 continue
             degrade = max(0.0, float(res.fun) - float(bound))
             if branch == "down":
-                if use_vec:
-                    pc_s_dn[frac_var] += degrade / max(f, _EPS)
-                    pc_n_dn[frac_var] += 1.0
-                else:
-                    s, k = pc_dn.get(frac_var, (0.0, 0))
-                    pc_dn[frac_var] = (s + degrade / max(f, _EPS), k + 1)
+                pc_s_dn[frac_var] += degrade / max(f, _EPS)
+                pc_n_dn[frac_var] += 1.0
             else:
-                if use_vec:
-                    pc_s_up[frac_var] += degrade / max(1.0 - f, _EPS)
-                    pc_n_up[frac_var] += 1.0
-                else:
-                    s, k = pc_up.get(frac_var, (0.0, 0))
-                    pc_up[frac_var] = (s + degrade / max(1.0 - f, _EPS), k + 1)
+                pc_s_up[frac_var] += degrade / max(1.0 - f, _EPS)
+                pc_n_up[frac_var] += 1.0
             child_bound = lift(float(res.fun))
             if child_bound >= incumbent_obj - prune_eps():
                 continue

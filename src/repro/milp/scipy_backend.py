@@ -145,7 +145,11 @@ def solve_scipy(model: Model, time_limit: float | None = None,
     if node_count is not None:
         stats["nodes"] = int(node_count)
     if dual_bound is not None and np.isfinite(dual_bound):
-        stats["dual_bound"] = float(dual_bound)
+        # HiGHS bounds the lowered objective c.x: no constant, and negated
+        # for "max" models. Report it in the model's own objective space.
+        sign = -1.0 if model.sense == "max" else 1.0
+        stats["dual_bound"] = float(model.objective.constant
+                                    + sign * dual_bound)
     if node_count is not None or gap is not None:
         detail = f"nodes={int(node_count) if node_count is not None else '?'}"
         if gap is not None:

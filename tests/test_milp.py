@@ -132,6 +132,43 @@ class TestBackends:
         assert sol[x] == pytest.approx(0.5)
         assert sol.int_value(y) == 7
 
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_scipy_dual_bound_in_objective_space(self, sense):
+        # At optimality the dual bound equals the objective, including
+        # the objective constant and the sign of a "max" model.
+        m = Model()
+        x = m.integer("x", 0, 10)
+        y = m.integer("y", 0, 10)
+        if sense == "min":
+            m.add(x >= 2)
+            m.add(y >= 1)
+            m.minimize(x + 2 * y + 100)
+            expected = 104.0
+        else:
+            m.add(x <= 4)
+            m.add(y <= 0)
+            m.maximize(3 * x + 7)
+            expected = 19.0
+        sol = m.solve("scipy")
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(expected)
+        assert sol.stats["dual_bound"] == pytest.approx(sol.objective)
+
+    def test_scipy_dual_bound_after_presolve(self):
+        # Presolve folds the fixed z into the reduced objective's
+        # constant; the reported bound must still match the objective.
+        m = Model()
+        x = m.integer("x", 0, 10)
+        y = m.integer("y", 0, 10)
+        z = m.binary("z")
+        m.add(x + y >= 3)
+        m.add(z >= 1)
+        m.minimize(2 * x + 3 * y + 5 * z + 100)
+        sol = m.solve("scipy", presolve=True)
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(111.0)
+        assert sol.stats["dual_bound"] == pytest.approx(sol.objective)
+
     def test_empty_model(self):
         m = Model()
         sol = m.solve("scipy")

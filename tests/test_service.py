@@ -100,6 +100,8 @@ def test_parse_request_accepts_minimal_design_payload():
     ({"design": "GSM", "lint": "yes"}, "lint must be"),
     ({"design": "GSM", "time_budget": -1}, "time_budget"),
     ({"design": "GSM", "client": ""}, "client"),
+    # Removed config fields are rejected like any other unknown field.
+    ({"design": "GSM", "config": {"vectorize": False}}, "unknown config field"),
 ])
 def test_parse_request_rejects_malformed_payloads(payload, match):
     with pytest.raises(ProtocolError, match=match):
