@@ -18,8 +18,6 @@ Usage::
                           [--method milp-map] [--format json]
     python -m repro fuzz [--seeds N] [--time-budget S] [--oracles a,b]
                          [--jobs N] [--corpus-dir DIR] [--format json]
-    python -m repro bench [DESIGN ...] [--quick] [--output FILE]
-                          [--baseline FILE] [--max-ratio X] [--jobs N]
     python -m repro serve [--host H] [--port P] [--workers N]
                           [--queue-limit N] [--quota N] [--time-budget S]
                           [--cache-dir DIR] [--jobs N]
@@ -243,28 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "only new diagnostics count toward --fail-on")
     p.add_argument("--write-baseline", metavar="FILE",
                    help="record all current findings to FILE and exit 0")
-
-    p = sub.add_parser("bench",
-                       parents=[sched, device_parent("xc7"), runtime],
-                       help="MILP hot-path performance benchmark "
-                            "(writes BENCH_milp.json; see "
-                            "docs/performance.md)")
-    p.add_argument("designs", nargs="*",
-                   help="benchmark subset (default: all nine, or the "
-                        "quick trio with --quick)")
-    p.add_argument("--quick", action="store_true",
-                   help="small fast matrix (the CI perf-smoke shape)")
-    p.add_argument("--output", default="BENCH_milp.json", metavar="FILE",
-                   help="write the JSON report here "
-                        "(default BENCH_milp.json; '-' to skip)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="compare wall times against this stored bench "
-                        "report and exit 1 on regressions")
-    p.add_argument("--max-ratio", type=float, default=3.0, metavar="X",
-                   help="regression threshold for --baseline "
-                        "(default 3.0x)")
-    p.add_argument("--format", choices=["text", "json"], default="text",
-                   help="stdout format (default text)")
 
     p = sub.add_parser("serve", parents=[runtime],
                        help="run the scheduling-as-a-service job server "
@@ -671,42 +647,6 @@ def _cmd_fuzz(args) -> int:
     return 1 if summary.divergences else 0
 
 
-def _cmd_bench(args) -> int:
-    from .experiments.bench import compare_to_baseline, format_bench, run_bench
-
-    result = run_bench(designs=[d.upper() for d in args.designs] or None,
-                       device=_device(args), config=_config(args),
-                       quick=args.quick, jobs=args.jobs,
-                       progress=_progress("benching"))
-    data = result.to_dict()
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"repro bench: wrote {args.output}", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(format_bench(result))
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"repro bench: failed to load baseline: {exc}",
-                  file=sys.stderr)
-            return 2
-        regressions = compare_to_baseline(data, baseline,
-                                          max_ratio=args.max_ratio)
-        for line in regressions:
-            print(f"  REGRESSION {line}")
-        if regressions:
-            return 1
-        print(f"repro bench: no regressions vs {args.baseline} "
-              f"(max-ratio {args.max_ratio:.1f}x)", file=sys.stderr)
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -841,9 +781,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "fuzz":
         return _cmd_fuzz(args)
-
-    if args.command == "bench":
-        return _cmd_bench(args)
 
     if args.command == "serve":
         return _cmd_serve(args)

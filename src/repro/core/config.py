@@ -34,7 +34,8 @@ class SchedulerConfig:
     backend:
         MILP backend: ``"scipy"`` (HiGHS) or ``"bnb"``.
     max_cuts:
-        Merged-cut cap per node passed to the enumerator.
+        Merged-cut cap per node passed to the enumerator (0 keeps the
+        unit cuts only).
     use_mapping:
         True = MILP-map (full cut sets); False = MILP-base (unit cuts only,
         i.e. "skipping the cut enumeration step", Sec. 4).
@@ -101,6 +102,15 @@ class SchedulerConfig:
             raise SchedulingError(f"Tcp must be positive, got {self.tcp}")
         if self.alpha < 0 or self.beta < 0:
             raise SchedulingError("alpha and beta must be non-negative")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise SchedulingError(
+                f"time_limit must be positive or None, got {self.time_limit}")
+        if self.backend not in ("scipy", "bnb"):
+            raise SchedulingError(
+                f"backend must be 'scipy' or 'bnb', got {self.backend!r}")
+        if self.max_cuts < 0:
+            raise SchedulingError(
+                f"max_cuts must be >= 0, got {self.max_cuts}")
         if self.partition_size < 1:
             raise SchedulingError(
                 f"partition_size must be >= 1, got {self.partition_size}")

@@ -12,7 +12,7 @@ They live in their own registry (``FULLSIZE``), *not* in ``BENCHMARKS``:
 the Table 1 registry is pinned to the paper's nine rows and every
 replication harness iterates it, so full-size designs would silently
 multiply experiment runtimes. CLI commands that accept a design name
-(``repro schedule``, ``repro bench --fullsize``) consult both.
+(``repro schedule``, ``repro submit``) consult both.
 """
 
 from __future__ import annotations

@@ -98,11 +98,3 @@ def format_figure1(result: Figure1Result) -> str:
         f"{result.schedules['milp-map'].latency} stage(s)"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_figure1(run_figure1()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

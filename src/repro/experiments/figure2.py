@@ -95,11 +95,3 @@ def format_figure2(result: Figure2Result) -> str:
         lines.append("sign-test refinement: C's output depends on a single "
                      "bit (the MSB of B), as the paper observes")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_figure2(run_figure2()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

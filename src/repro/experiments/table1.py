@@ -176,13 +176,3 @@ def format_table1(result: Table1Result) -> str:
              f"(target clock {result.config.tcp:g} ns, II={result.config.ii}, "
              f"alpha=beta={result.config.alpha:g}, device {result.device.name})")
     return render_table(headers, rows, title=title)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    random.seed(0)
-    result = run_table1(progress=lambda s: print(f"  running {s}..."))
-    print(format_table1(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

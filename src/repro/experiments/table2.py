@@ -151,12 +151,3 @@ def format_table2(result: Table2Result) -> str:
         title=("Table 2: MILP solver runtime (cut enumeration and model "
                f"construction excluded; time cap {result.config.time_limit}s)"),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run_table2(progress=lambda s: print(f"  solving {s}..."))
-    print(format_table2(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

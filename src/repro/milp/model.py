@@ -199,7 +199,8 @@ class Solution:
     gap: float | None = None
     message: str = ""
     #: Backend bookkeeping (node counts, LP counts, presolve reductions);
-    #: read by the bench harness, never by the schedulers.
+    #: copied into the ``solve`` span's ``solver_stats``, never read by
+    #: the schedulers.
     stats: dict = field(default_factory=dict)
 
     @property

@@ -52,6 +52,18 @@ class TestSchedulerConfig:
             SchedulerConfig(tcp=-1)
         with pytest.raises(SchedulingError):
             SchedulerConfig(alpha=-0.1)
+        with pytest.raises(SchedulingError):
+            SchedulerConfig(time_limit=-5)
+        with pytest.raises(SchedulingError):
+            SchedulerConfig(time_limit=0)
+        with pytest.raises(SchedulingError):
+            SchedulerConfig(backend="cplex")
+        with pytest.raises(SchedulingError):
+            SchedulerConfig(max_cuts=-1)
+
+    def test_accepts_edge_values(self):
+        assert SchedulerConfig(time_limit=None).time_limit is None
+        assert SchedulerConfig(max_cuts=0).max_cuts == 0
 
     def test_frozen(self):
         cfg = SchedulerConfig()

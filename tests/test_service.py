@@ -102,6 +102,9 @@ def test_parse_request_accepts_minimal_design_payload():
     ({"design": "GSM", "client": ""}, "client"),
     # Removed config fields are rejected like any other unknown field.
     ({"design": "GSM", "config": {"vectorize": False}}, "unknown config field"),
+    # Values that would silently change the solve.
+    ({"design": "GSM", "config": {"time_limit": -5}}, "invalid config"),
+    ({"design": "GSM", "config": {"backend": "cplex"}}, "invalid config"),
 ])
 def test_parse_request_rejects_malformed_payloads(payload, match):
     with pytest.raises(ProtocolError, match=match):
